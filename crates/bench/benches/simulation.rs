@@ -8,7 +8,6 @@ use dfl_iosim::breakdown::FlowTag;
 use dfl_iosim::cache::{CacheConfig, CacheState};
 use dfl_iosim::cluster::ClusterSpec;
 use dfl_iosim::flow::{naive::NaiveFlowNet, FlowNet, FlowOwner};
-use dfl_iosim::shard::ShardPlan;
 use dfl_iosim::sim::{Action, JobSpec, SimConfig, Simulation};
 use dfl_iosim::storage::{TierKind, TierRef};
 use dfl_iosim::time::SimTime;
@@ -112,33 +111,6 @@ fn bench_flow_stress(c: &mut Criterion) {
             sim.time()
         })
     });
-    group.finish();
-}
-
-/// The sharded event core on the 1024-job shared-tier scenario: identical
-/// workload, shard counts 1 vs 4. Sharding partitions the event queue and
-/// flow network by node domain, so the shards=4 leg prices the win from
-/// per-shard heaps + conservative windows (results stay byte-identical —
-/// `tests/tests/shard_differential.rs` proves it; this group prices it).
-fn bench_sim_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_sharded");
-    group.sample_size(10);
-    for shards in [1u32, 4] {
-        group.bench_function(BenchmarkId::new("sim_1024_jobs_shared_tier", format!("shards{shards}")), |b| {
-            b.iter(|| {
-                let cluster = ClusterSpec::gpu_cluster(32);
-                let plan = ShardPlan::partition(cluster.node_count(), shards).unwrap();
-                let mut sim = Simulation::new_sharded(cluster, SimConfig::default(), plan).unwrap();
-                for i in 0..1024usize {
-                    let file = format!("in{i}");
-                    sim.fs_mut().create_external(&file, (1 << 20) + (i as u64) * 4096, TierRef::shared(TierKind::Beegfs));
-                    sim.submit(JobSpec::new(&format!("j-{i}"), (i % 32) as u32).action(Action::read_file(&file)));
-                }
-                sim.run().unwrap();
-                sim.time()
-            })
-        });
-    }
     group.finish();
 }
 
@@ -249,14 +221,13 @@ fn bench_fault_recovery(c: &mut Criterion) {
     group.finish();
 }
 
-// `sim_sharded` runs first: its shards=1 vs shards=4 legs are compared
-// against a fixed budget, and the long suite's slow drift (allocator
-// state, frequency throttling) would otherwise tax the later group.
+// `flow_stress_1k` runs first: its 1024-job scenario is compared against
+// a fixed budget, and the long suite's slow drift (allocator state,
+// frequency throttling) would otherwise tax the later group.
 criterion_group!(
     benches,
-    bench_sim_sharded,
-    bench_flow_events,
     bench_flow_stress,
+    bench_flow_events,
     bench_cache_access,
     bench_end_to_end_workflow,
     bench_obs_overhead,

@@ -43,13 +43,13 @@ datalife — data flow lifecycle analysis for distributed workflows
 
 USAGE:
   datalife run <genomes|ddmd|belle2|montage|seismic> [--scale tiny|paper] [--nodes N] [-o FILE]
-               [--faults SPEC] [--verify POLICY] [--retries N] [--trace-out FILE] [--shards K]
+               [--faults SPEC] [--verify POLICY] [--retries N] [--trace-out FILE]
   datalife profile <genomes|ddmd|belle2|montage|seismic> [--scale tiny|paper] [--nodes N]
                [--trace-out FILE] [--jsonl FILE] [--sample-ms MS] [--faults SPEC]
-               [--verify POLICY] [--retries N] [--shards K]
+               [--verify POLICY] [--retries N]
   datalife watch <genomes|ddmd|belle2|montage|seismic> [--scale tiny|paper] [--nodes N]
                [--window-ms MS] [--sample-ms MS] [--faults SPEC] [--verify POLICY] [--retries N]
-               [--headless] [--jsonl] [--shards K]
+               [--headless] [--jsonl]
   datalife analyze <measurements.json> [--cost volume|time|branchjoin|fanin]
   datalife rank <measurements.json> [--what pc|data|task]
   datalife caterpillar <measurements.json> [--cost volume|time|branchjoin|fanin]
@@ -59,7 +59,7 @@ USAGE:
   datalife casestudy <genomes|ddmd|belle2>
   datalife chaos <genomes|ddmd|belle2|montage|seismic> [--scale tiny|paper] [--nodes N]
                [--seeds LIST] [--crashes K] [--ckpt-ms MS] [--dir DIR] [--faults SPEC]
-               [--verify POLICY] [--retries N] [--shards K]
+               [--verify POLICY] [--retries N]
   datalife chaos <workflow> --serve [--scale tiny|paper] [--nodes N] [--seed N]
                [--crashes K] [--ckpt-ms MS] [--dir DIR]
   datalife serve [--dir DIR] [--workers N] [--queue-cap N] [--ckpt-ms MS] [--window-ms MS]
@@ -141,14 +141,9 @@ picture, per-tenant scheduler accounting, latency quantiles, recent
 health diagnoses. --once renders a single frame and exits; --jsonl
 prints the raw metrics reply lines instead (machine-readable).
 
---shards K partitions the event core by node domain into K shards
-(default 1; DFL_SHARDS sets the default when the flag is absent). Every
-observable — measurements, timelines, checkpoints, failure reports — is
-byte-identical at any K; the knob only changes performance.
-
 Exit codes: 0 success; 1 runtime failure; 2 usage error (unknown
-command/workflow, bad flag); 3 chaos divergence (a recovered run was not
-byte-identical to its golden run).";
+command/workflow/flag, bad flag value); 3 chaos divergence (a recovered
+run was not byte-identical to its golden run).";
 
 /// Typed CLI failure, mapped to the process exit code: usage errors exit
 /// 2, runtime failures 1, chaos divergence 3 (success is 0).
@@ -185,17 +180,37 @@ fn usage_err(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// Every `--flag` some command reads. An argument spelled like a flag but
+/// missing here is a usage error, so a mistyped or retired flag is never
+/// silently ignored.
+const KNOWN_FLAGS: &[&str] = &[
+    "--abort-on-chaos", "--addr", "--ckpt-ms", "--cost", "--crashes", "--dir", "--faults",
+    "--headless", "--interval-ms", "--jsonl", "--metrics-addr", "--nodes", "--once",
+    "--queue-cap", "--retries", "--sample-ms", "--scale", "--seed", "--seeds", "--serve",
+    "--trace-out", "--verify", "--what", "--window-ms", "--workers",
+];
+
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    match args.iter().find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(&a.as_str())) {
+        Some(flag) => Err(usage_err(format!("unknown flag '{flag}'"))),
+        None => Ok(()),
+    }
+}
+
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parse_cost(args: &[String]) -> CostModel {
+fn parse_cost(args: &[String]) -> Result<CostModel, CliError> {
     match arg_value(args, "--cost").as_deref() {
-        Some("time") => CostModel::Time,
-        Some("branchjoin") => CostModel::BranchJoin { branch_threshold: 2 },
-        Some("fanin") => CostModel::TaskFanIn,
-        Some("footprint") => CostModel::Footprint,
-        _ => CostModel::Volume,
+        None | Some("volume") => Ok(CostModel::Volume),
+        Some("time") => Ok(CostModel::Time),
+        Some("branchjoin") => Ok(CostModel::BranchJoin { branch_threshold: 2 }),
+        Some("fanin") => Ok(CostModel::TaskFanIn),
+        Some("footprint") => Ok(CostModel::Footprint),
+        Some(other) => Err(usage_err(format!(
+            "bad --cost '{other}' (volume|time|branchjoin|fanin|footprint)"
+        ))),
     }
 }
 
@@ -226,15 +241,6 @@ fn select_workflow(args: &[String]) -> Result<(WorkflowSpec, RunConfig), CliErro
         Some(s) => Some(parse_verify(&s).map_err(usage_err)?),
         None => None,
     };
-    // Event-core shard count; output is byte-identical at any value, so
-    // this is purely a performance knob. DFL_SHARDS is the CI-matrix
-    // override; an explicit --shards wins.
-    let shards: Option<u32> = match arg_value(args, "--shards")
-        .or_else(|| std::env::var("DFL_SHARDS").ok())
-    {
-        Some(s) => Some(s.parse().map_err(|_| usage_err(format!("bad --shards '{s}'")))?),
-        None => None,
-    };
 
     let (spec, mut cfg) = catalog::build(workflow, scale, nodes).map_err(usage_err)?;
     if let Some(p) = faults {
@@ -245,9 +251,6 @@ fn select_workflow(args: &[String]) -> Result<(WorkflowSpec, RunConfig), CliErro
     }
     if let Some(v) = verify {
         cfg.verify = v;
-    }
-    if let Some(k) = shards {
-        cfg.shards = k;
     }
     Ok((spec, cfg))
 }
@@ -465,8 +468,8 @@ fn cmd_watch(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(|| usage_err("missing measurements file"))?;
+    let cost = parse_cost(args)?;
     let g = load(path)?;
-    let cost = parse_cost(args);
     println!(
         "DFL-DAG: {} vertices ({} tasks, {} data), {} edges; acyclic: {}\n",
         g.vertex_count(),
@@ -545,8 +548,8 @@ fn cmd_rank(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_caterpillar(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(|| usage_err("missing measurements file"))?;
+    let cost = parse_cost(args)?;
     let g = load(path)?;
-    let cost = parse_cost(args);
     let cp = critical_path(&g, &cost);
     let cat = caterpillar(&g, &cp, CaterpillarRule::Dfl);
     println!(
@@ -1112,8 +1115,12 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let rest = &args[1..];
-    let result = match cmd.as_str() {
+    let result = check_flags(rest).and_then(|()| match cmd.as_str() {
         "run" => cmd_run(rest),
         "profile" => cmd_profile(rest),
         "watch" => cmd_watch(rest),
@@ -1127,12 +1134,8 @@ fn main() -> ExitCode {
         "chaos" => cmd_chaos(rest),
         "serve" => cmd_serve(rest),
         "top" => cmd_top(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
         other => Err(usage_err(format!("unknown command '{other}'"))),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -265,3 +265,25 @@ fn run_unknown_workflow_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown workflow"));
 }
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // A retired flag must fail loudly, never be silently ignored.
+    for args in [["run", "smoke", "--shards", "4"], ["run", "smoke", "--bogus", "7"]] {
+        let out = datalife().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let flag = args[2];
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag '{flag}'")),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn unknown_cost_model_is_a_usage_error() {
+    let out =
+        datalife().args(["analyze", "/nonexistent/zzz.json", "--cost", "speed"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --cost 'speed'"));
+}

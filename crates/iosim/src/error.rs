@@ -50,11 +50,9 @@ pub enum SimError {
     /// A chaos plan killed the coordinator before dispatch `at_event`; the
     /// run can be resumed from its latest checkpoint manifest.
     CoordinatorCrash { at_event: u64 },
-    /// A snapshot could not be restored (shape mismatch or decode failure).
+    /// A snapshot could not be restored (shape mismatch, decode failure, or
+    /// a queued event naming a job, crash, or capacity change it lacks).
     Snapshot(String),
-    /// The requested shard plan does not fit the cluster (zero shards, more
-    /// shards than nodes, or a node count that disagrees with the cluster).
-    ShardPlan(String),
     /// An internal event referenced state that does not exist — the event
     /// machine's invariants were broken, e.g. by a hand-edited snapshot
     /// (previously a panic path).
@@ -92,7 +90,6 @@ impl fmt::Display for SimError {
                 write!(f, "chaos: coordinator killed before dispatch {at_event}")
             }
             SimError::Snapshot(msg) => write!(f, "snapshot restore failed: {msg}"),
-            SimError::ShardPlan(msg) => write!(f, "invalid shard plan: {msg}"),
             SimError::CorruptState(what) => write!(f, "corrupt simulator state: {what}"),
             SimError::IntegrityViolation { file } => {
                 write!(f, "integrity violation: {file} corrupt with no producer to re-run")

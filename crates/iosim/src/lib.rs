@@ -35,7 +35,6 @@ pub mod flow;
 pub mod fs;
 pub mod obs;
 pub mod replay;
-pub mod shard;
 pub mod sim;
 pub mod storage;
 pub mod time;

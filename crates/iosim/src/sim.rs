@@ -25,7 +25,6 @@ use crate::fault::{ChaosKind, DegradeTarget, FailureCause, FailureReport, FaultP
 use crate::flow::{FlowKey, FlowNet, FlowNetSnapshot, FlowOwner, ResourceId};
 use crate::fs::{FileIdx, FileMeta, SimFs};
 use crate::obs::{SimObs, SimObsState};
-use crate::shard::{ShardPlan, ShardStats};
 use crate::storage::{TierKind, TierRef};
 use crate::time::SimTime;
 
@@ -407,27 +406,11 @@ pub struct Simulation {
     cache_origins: CacheOrigins,
     monitor: Option<Monitor>,
     jobs: Vec<Job>,
-    /// Per-shard event queues. Events live inline in the heap entries
-    /// (`(time, seq, event)`; `Event` is a two-word `Copy` payload, so
-    /// there is no side event log to grow or slab to manage — queue memory
-    /// is bounded by in-flight events). `seq` is globally unique and
-    /// monotone, so dispatching by merging the shard heads in `(time, seq)`
-    /// order reproduces the single-queue order exactly at any shard count.
-    queues: Vec<BinaryHeap<Reverse<(u64, u64, Event)>>>,
-    /// Node → shard assignment (see [`crate::shard::ShardPlan`]).
-    plan: ShardPlan,
-    /// Resource → owning node (`u32::MAX` = shared: shared tiers and
-    /// cluster-wide cache levels). Shard ownership is derived through the
-    /// plan, so this table stays shard-count-invariant — it is also the
-    /// domain key for the canonical event cursors in snapshots.
-    res_owner: Vec<u32>,
-    /// Conservative dispatch window: `(shard, horizon_t, horizon_seq)` —
-    /// while the window shard's head stays below the horizon (the earliest
-    /// foreign event), dispatch skips the cross-shard scan. Derived state:
-    /// never serialized, reset on restore.
-    window: Option<(u32, u64, u64)>,
-    /// Window/barrier counters (runtime observability, plan-dependent).
-    shard_stats: ShardStats,
+    /// Pending events inline in the heap entries (`(time, seq, event)`;
+    /// `Event` is a two-word `Copy` payload, so there is no side event log
+    /// to grow or slab to manage — queue memory is bounded by in-flight
+    /// events). `seq` is unique, so the `Event` ordering is never consulted.
+    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
     capacity_changes: Vec<(ResourceId, f64)>,
     write_buffering: bool,
     next_seq: u64,
@@ -469,27 +452,6 @@ impl Simulation {
     /// settings, while an explicit `monitor: None` runs without one (and
     /// [`Simulation::measurements`] then returns `None`).
     pub fn new(cluster: ClusterSpec, config: SimConfig) -> Self {
-        let plan = ShardPlan::single(cluster.node_count());
-        Self::new_sharded(cluster, config, plan).expect("single-shard plan always fits")
-    }
-
-    /// Builds a simulator whose event core is partitioned by `plan` (see
-    /// [`ShardPlan`]). Dispatch order — and therefore every observable,
-    /// including snapshots — is byte-identical at any shard count; the plan
-    /// only changes which queue an event waits in and how large the
-    /// conservative same-shard dispatch windows are.
-    pub fn new_sharded(
-        cluster: ClusterSpec,
-        config: SimConfig,
-        plan: ShardPlan,
-    ) -> Result<Self, SimError> {
-        if plan.node_count() != cluster.node_count() {
-            return Err(SimError::ShardPlan(format!(
-                "plan covers {} nodes but the cluster has {}",
-                plan.node_count(),
-                cluster.node_count()
-            )));
-        }
         let retained_config = config.clone();
         let mut net = FlowNet::new();
 
@@ -560,44 +522,17 @@ impl Simulation {
         let ready = (0..cluster.node_count()).map(|_| VecDeque::new()).collect();
         let node_up = vec![true; cluster.node_count()];
 
-        let res = Resources { shared, node_tier, nic, cache_levels };
-        // Resource → owning node: node-local tiers, NICs, and per-node
-        // cache levels follow their node; everything else (shared tiers,
-        // cluster-wide cache levels) stays `u32::MAX` = shared.
-        let mut res_owner = vec![u32::MAX; net.resource_count()];
-        for (n, m) in res.node_tier.iter().enumerate() {
-            for r in m.values() {
-                res_owner[r.0 as usize] = n as u32;
-            }
-        }
-        for (n, r) in res.nic.iter().enumerate() {
-            res_owner[r.0 as usize] = n as u32;
-        }
-        for lvl in &res.cache_levels {
-            if let CacheLevelRes::PerNode(v) = lvl {
-                for (n, r) in v.iter().enumerate() {
-                    res_owner[r.0 as usize] = n as u32;
-                }
-            }
-        }
-        let queues = (0..plan.shards()).map(|_| BinaryHeap::new()).collect();
-        let shard_stats = ShardStats::new(plan.shards());
-
         let mut sim = Self {
             cluster,
             net,
-            res,
+            res: Resources { shared, node_tier, nic, cache_levels },
             fs: SimFs::new(),
             cache,
             cache_lat,
             cache_origins: config.cache_origins,
             monitor,
             jobs: Vec::new(),
-            queues,
-            plan,
-            res_owner,
-            window: None,
-            shard_stats,
+            heap: BinaryHeap::new(),
             capacity_changes: Vec::new(),
             write_buffering: config.write_buffering,
             next_seq: 0,
@@ -620,7 +555,7 @@ impl Simulation {
             pause_pending: false,
         };
         sim.schedule_fault_plan();
-        Ok(sim)
+        sim
     }
 
     /// Turns the fault plan into ordinary events so faults interleave with
@@ -752,119 +687,9 @@ impl Simulation {
             .is_some_and(|j| j.state == JobState::Done)
     }
 
-    /// Shard owning an event: job-lifecycle events follow the job's node,
-    /// capacity changes follow the owning resource, crash/recover events
-    /// follow the crashing node. Out-of-range targets (surfaced later as
-    /// typed errors by their handlers) fall back to shard 0.
-    fn shard_of_event(&self, ev: Event) -> u32 {
-        self.domain_of_event(ev).map_or(0, |n| self.plan.shard_of_node(n))
-    }
-
-    /// Shard-count-invariant routing domain of an event: the owning node,
-    /// or `None` for the shared domain (shared-resource capacity changes,
-    /// out-of-range targets). This keys the canonical event cursors in
-    /// snapshots.
-    fn domain_of_event(&self, ev: Event) -> Option<u32> {
-        match ev {
-            Event::Arrive(j)
-            | Event::ComputeDone(j)
-            | Event::IoLatencyDone(j)
-            | Event::OpenDone(j) => Some(self.jobs[j as usize].node),
-            Event::CapacityChange(idx) => self
-                .capacity_changes
-                .get(idx as usize)
-                .map(|(r, _)| self.res_owner[r.0 as usize])
-                .filter(|&n| n != u32::MAX),
-            Event::NodeCrash(i) | Event::NodeRecover(i) => self
-                .faults
-                .crashes
-                .get(i as usize)
-                .map(|c| c.node)
-                .filter(|&n| (n as usize) < self.cluster.node_count()),
-        }
-    }
-
     fn push_event(&mut self, at: SimTime, ev: Event) {
-        let s = self.shard_of_event(ev);
-        let entry = (at.ns(), self.next_seq, ev);
+        self.heap.push(Reverse((at.ns(), self.next_seq, ev)));
         self.next_seq += 1;
-        self.queues[s as usize].push(Reverse(entry));
-        // A push into a foreign shard below the open window's horizon
-        // tightens the horizon: the window shard may no longer run ahead
-        // past this event.
-        if let Some((ws, wt, wseq)) = self.window {
-            if s != ws && (entry.0, entry.1) < (wt, wseq) {
-                self.window = Some((ws, entry.0, entry.1));
-            }
-        }
-    }
-
-    /// Earliest pending heap event in canonical `(time, seq)` order, with
-    /// its shard. Uses the conservative window as a fast path: while the
-    /// current shard's head is below the horizon (the earliest event of any
-    /// other shard, tightened exactly by `push_event`), no cross-shard scan
-    /// is needed and the head is the global minimum by construction.
-    fn peek_event(&mut self) -> Option<(u64, u64, Event, u32)> {
-        if let Some((ws, wt, wseq)) = self.window {
-            if let Some(&Reverse((t, seq, ev))) = self.queues[ws as usize].peek() {
-                if (t, seq) < (wt, wseq) {
-                    return Some((t, seq, ev, ws));
-                }
-            }
-            // Window exhausted: the next event belongs to another shard (or
-            // nothing is left) — close it and rescan.
-            self.window = None;
-        }
-        let mut best: Option<(u64, u64, Event, u32)> = None;
-        for (s, q) in self.queues.iter().enumerate() {
-            if let Some(&Reverse((t, seq, ev))) = q.peek() {
-                if best.is_none_or(|(bt, bs, _, _)| (t, seq) < (bt, bs)) {
-                    best = Some((t, seq, ev, s as u32));
-                }
-            }
-        }
-        if let Some((_, _, _, s)) = best {
-            if self.plan.shards() > 1 {
-                let mut horizon = (u64::MAX, u64::MAX);
-                for (i, q) in self.queues.iter().enumerate() {
-                    if i as u32 == s {
-                        continue;
-                    }
-                    if let Some(&Reverse((t, seq, _))) = q.peek() {
-                        if (t, seq) < horizon {
-                            horizon = (t, seq);
-                        }
-                    }
-                }
-                self.window = Some((s, horizon.0, horizon.1));
-            }
-        }
-        best
-    }
-
-    /// Records a dispatch on shard `s` for window accounting.
-    fn note_dispatch(&mut self, s: u32) {
-        let st = &mut self.shard_stats;
-        st.dispatched[s as usize] += 1;
-        if st.current != Some(s) {
-            if st.current.is_some() {
-                st.barrier_crossings += 1;
-            }
-            st.current = Some(s);
-            st.windows += 1;
-        }
-    }
-
-    /// Dispatch-side sharding counters (windows, barrier crossings,
-    /// per-shard dispatch totals). Plan-dependent observability — not part
-    /// of the byte-identity surface and not serialized.
-    pub fn shard_stats(&self) -> &ShardStats {
-        &self.shard_stats
-    }
-
-    /// The shard plan this simulator dispatches under.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// Runs until every submitted job completes, ignoring job failures
@@ -930,7 +755,7 @@ impl Simulation {
             if !self.pending_failures.is_empty() {
                 return Ok(RunOutcome::Failures(std::mem::take(&mut self.pending_failures)));
             }
-            let heap_next = self.peek_event();
+            let heap_next = self.heap.peek().map(|Reverse((t, s, e))| (*t, *s, *e));
             let flow_next = self.net.next_completion();
             // Stop once every job finished and all flows (e.g. buffered
             // write drains) have landed: remaining events can only be
@@ -947,8 +772,8 @@ impl Simulation {
                 return Ok(RunOutcome::Paused);
             }
             let t_next = match (heap_next, flow_next) {
-                (Some((ht, _, _, _)), Some((ft, _))) => Some(ht.min(ft.ns())),
-                (Some((ht, _, _, _)), None) => Some(ht),
+                (Some((ht, _, _)), Some((ft, _))) => Some(ht.min(ft.ns())),
+                (Some((ht, _, _)), None) => Some(ht),
                 (None, Some((ft, _))) => Some(ft.ns()),
                 (None, None) => None,
             };
@@ -970,14 +795,13 @@ impl Simulation {
             self.take_samples_until(t_next.unwrap_or(0));
             match (heap_next, flow_next) {
                 (None, None) => break,
-                (Some((ht, _, _, _)), Some((ft, fk))) if ft.ns() < ht => {
+                (Some((ht, _, _)), Some((ft, fk))) if ft.ns() < ht => {
                     self.events_dispatched += 1;
                     self.complete_flow(ft, fk);
                 }
-                (Some((t, _, ev, shard)), _) => {
+                (Some((t, _, ev)), _) => {
                     self.events_dispatched += 1;
-                    self.queues[shard as usize].pop();
-                    self.note_dispatch(shard);
+                    self.heap.pop();
                     self.now = SimTime(t.max(self.now.ns()));
                     self.handle_event(ev);
                 }
@@ -1054,10 +878,6 @@ impl Simulation {
         let (owner, elapsed, bytes) = self.net.complete(self.now, key);
         self.stats.total_moved += bytes;
         let j = owner.job as usize;
-        // Flow completions are attributed to the owning job's shard for
-        // window accounting (the flow itself may span several shards).
-        let shard = self.plan.shard_of_node(self.jobs[j].node);
-        self.note_dispatch(shard);
         let job = &mut self.jobs[j];
         job.breakdown.add(owner.tag, elapsed);
         job.moved_bytes += bytes;
@@ -2188,26 +2008,10 @@ impl Simulation {
         }
         let mut config = self.config.clone();
         config.faults = config.faults.without_chaos();
-        // Canonical merge of the per-shard queues: sorted ascending by the
-        // globally unique `(time, seq)`, so the serialized queue is
-        // byte-identical at any shard count.
-        let mut heap: Vec<(u64, u64, Event)> = self
-            .queues
-            .iter()
-            .flat_map(|q| q.iter().map(|Reverse(e)| *e))
-            .collect();
+        // Heap iteration order is an implementation detail; sorting by the
+        // unique `(time, seq)` makes the serialized queue canonical.
+        let mut heap: Vec<(u64, u64, Event)> = self.heap.iter().map(|Reverse(e)| *e).collect();
         heap.sort_unstable();
-        // Per-domain pending-event cursors (node-keyed, so shard-count
-        // invariant); restore re-routes the canonical queue through the
-        // active plan and cross-checks these counts.
-        let mut cursors = vec![0u64; self.cluster.node_count()];
-        let mut shared_queued = 0u64;
-        for &(_, _, ev) in &heap {
-            match self.domain_of_event(ev) {
-                Some(n) => cursors[n as usize] += 1,
-                None => shared_queued += 1,
-            }
-        }
         Ok(SimSnapshot {
             version: SNAPSHOT_VERSION,
             cluster: self.cluster.clone(),
@@ -2247,8 +2051,6 @@ impl Simulation {
                 })
                 .collect(),
             heap,
-            cursors,
-            shared_queued,
             capacity_changes: self.capacity_changes.clone(),
             next_seq: self.next_seq,
             now_ns: self.now.ns(),
@@ -2271,33 +2073,13 @@ impl Simulation {
     /// byte-identically to the one that was snapshotted. Chaos is always
     /// disarmed after restore.
     pub fn restore(snap: SimSnapshot) -> Result<Simulation, SimError> {
-        let nodes = snap.cluster.node_count();
-        Self::restore_sharded(snap, ShardPlan::single(nodes))
-    }
-
-    /// Rebuilds a simulator from a snapshot under an arbitrary shard plan.
-    ///
-    /// Snapshots are shard-count-invariant (the event queue is serialized
-    /// as one canonical `(time, seq)`-sorted list with node-keyed
-    /// cursors), so a checkpoint written at any shard count restores at any
-    /// other: events are deterministically re-routed through `plan` and the
-    /// cursors are cross-checked. Plans that do not fit the snapshot's
-    /// cluster fail with a typed [`SimError::ShardPlan`].
-    pub fn restore_sharded(snap: SimSnapshot, plan: ShardPlan) -> Result<Simulation, SimError> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(SimError::Snapshot(format!(
                 "snapshot version {} (this build expects {})",
                 snap.version, SNAPSHOT_VERSION
             )));
         }
-        if snap.cursors.len() != snap.cluster.node_count() {
-            return Err(SimError::Snapshot(format!(
-                "snapshot cursors cover {} nodes but the cluster has {}",
-                snap.cursors.len(),
-                snap.cluster.node_count()
-            )));
-        }
-        let mut sim = Simulation::new_sharded(snap.cluster, snap.config, plan)?;
+        let mut sim = Simulation::new(snap.cluster, snap.config);
         sim.net = FlowNet::from_snapshot(snap.net);
         sim.fs = SimFs::from_snapshot(snap.files);
         match (sim.cache.is_some(), snap.cache) {
@@ -2357,30 +2139,28 @@ impl Simulation {
             .collect();
         sim.jobs = jobs;
         sim.capacity_changes = snap.capacity_changes;
-        // Re-route the canonical event list into per-shard queues under the
-        // active plan, cross-checking the node-keyed cursors: a mismatch
-        // means the snapshot's routing state (jobs, fault table, capacity
-        // registrations) disagrees with its queue — fail typed rather than
-        // silently diverge.
-        for q in &mut sim.queues {
-            q.clear();
-        }
-        let mut cursors = vec![0u64; snap.cursors.len()];
-        let mut shared_queued = 0u64;
-        for (t, seq, ev) in snap.heap {
-            match sim.domain_of_event(ev) {
-                Some(n) => cursors[n as usize] += 1,
-                None => shared_queued += 1,
+        // Every queued event must name state the snapshot carries: a
+        // dangling referent would index out of bounds at dispatch, so a
+        // queue that disagrees with its jobs, fault table, or capacity
+        // registrations fails typed rather than panicking or diverging.
+        for &(_, _, ev) in &snap.heap {
+            let (idx, len, what) = match ev {
+                Event::Arrive(j)
+                | Event::ComputeDone(j)
+                | Event::IoLatencyDone(j)
+                | Event::OpenDone(j) => (j, sim.jobs.len(), "jobs"),
+                Event::CapacityChange(i) => (i, sim.capacity_changes.len(), "capacity changes"),
+                Event::NodeCrash(i) | Event::NodeRecover(i) => {
+                    (i, sim.faults.crashes.len(), "crashes")
+                }
+            };
+            if idx as usize >= len {
+                return Err(SimError::Snapshot(format!(
+                    "queued event {ev:?} is out of range: the snapshot has {len} {what}"
+                )));
             }
-            let s = sim.shard_of_event(ev);
-            sim.queues[s as usize].push(Reverse((t, seq, ev)));
         }
-        if cursors != snap.cursors || shared_queued != snap.shared_queued {
-            return Err(SimError::Snapshot(
-                "event cursors disagree with the serialized queue".into(),
-            ));
-        }
-        sim.window = None;
+        sim.heap = snap.heap.into_iter().map(Reverse).collect();
         sim.next_seq = snap.next_seq;
         sim.now = SimTime(snap.now_ns);
         sim.free_cores = snap.free_cores;
@@ -2409,10 +2189,11 @@ impl Simulation {
 /// v2: events inline in `heap` entries (the side `events` log is gone).
 /// v3: integrity fields — file digests/corruption state, job taint and
 /// read counters, pending-I/O corruption outcome, corruption stats.
-/// v4: sharded event core — node-keyed event cursors (`cursors`,
-/// `shared_queued`), flow sizes owned by the flow network (the side
-/// `flow_bytes` map is gone), group-coverage flow-heap entries.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// v4: flow sizes owned by the flow network (the side `flow_bytes` map is
+/// gone), group-coverage flow-heap entries, node-keyed event cursors.
+/// v5: the event cursors (`cursors`, `shared_queued`) are gone; the queue
+/// travels as one sorted list.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Serializable state of one [`Simulation`] job (see [`SimSnapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -2464,16 +2245,10 @@ pub struct SimSnapshot {
     pub cache: Option<CacheSnapshot>,
     pub monitor: Option<MonitorState>,
     pub jobs: Vec<JobSnapshot>,
-    /// Pending event-queue entries `(time, seq, event)` from every shard,
-    /// merged and sorted ascending (order is fully determined by content —
-    /// all entries are distinct), so the serialized form is identical at
-    /// any shard count.
+    /// Pending event-heap entries `(time, seq, event)`, sorted ascending
+    /// (heap order is fully determined by content — all entries are
+    /// distinct).
     pub heap: Vec<(u64, u64, Event)>,
-    /// Pending events per owning node (the shard-count-invariant cursor
-    /// form; restore re-routes through the active plan and cross-checks).
-    pub cursors: Vec<u64>,
-    /// Pending events owned by the shared domain.
-    pub shared_queued: u64,
     pub capacity_changes: Vec<(ResourceId, f64)>,
     pub next_seq: u64,
     pub now_ns: u64,

@@ -280,6 +280,7 @@ impl Daemon {
             "serve_panics",
             "serve_chaos_crashes",
             "serve_torn_manifests",
+            "serve_stale_checkpoints",
             "serve_stream_dropped",
             "serve_ledger_commits",
             "serve_diagnoses",
@@ -960,6 +961,22 @@ fn execute(inner: &Arc<Inner>, rec: &JobRecord) -> Result<(JobState, String), En
                     let mut c = inner.core.lock().unwrap();
                     c.count("serve_torn_manifests", torn.len() as u64);
                 }
+                let _ = std::fs::remove_dir_all(&job_dir);
+                run_fresh(inner, rec, &spec, &cfg, &opts)?
+            }
+            // Intact checkpoints this build cannot resume: an older
+            // manifest or snapshot layout, a config-hash drift, or a
+            // snapshot the simulator rejects. The ledger holds the submit
+            // parameters and the run is deterministic, so a fresh run
+            // yields the result the resume would have.
+            Err(
+                e @ (EngineError::Checkpoint(
+                    CheckpointError::VersionMismatch { .. } | CheckpointError::HashMismatch { .. },
+                )
+                | EngineError::Sim(SimError::Snapshot(_))),
+            ) => {
+                eprintln!("serve: job {id}: discarding unusable checkpoints: {e}");
+                inner.core.lock().unwrap().count("serve_stale_checkpoints", 1);
                 let _ = std::fs::remove_dir_all(&job_dir);
                 run_fresh(inner, rec, &spec, &cfg, &opts)?
             }

@@ -170,7 +170,6 @@ pub fn run_config(cfg: &Belle2Config, access: DataAccess, nodes: usize) -> crate
         retry: crate::engine::RetryPolicy::default(),
         obs: None,
         checkpoint: None,
-        shards: 1,
     };
     match access {
         DataAccess::FtpCopy => {

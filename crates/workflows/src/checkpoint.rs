@@ -33,11 +33,11 @@ use crate::spec::WorkflowSpec;
 /// corruption roots, job taint, and verification counters, and `RunConfig`
 /// (hashed into `config_hash`) gained the `verify` policy.
 ///
-/// v3: sharded event core — the embedded [`SimSnapshot`] is shard-invariant
-/// (per-node dispatch cursors instead of a single global queue), and
-/// `RunConfig` gained `shards`, which is canonicalized out of `config_hash`
-/// so a manifest may be resumed under a different shard count.
-pub const MANIFEST_VERSION: u32 = 3;
+/// v3: the embedded [`SimSnapshot`] carried per-node dispatch cursors, and
+/// `RunConfig` an event-core partition count.
+///
+/// v4: both are gone — one event queue, serialized as one sorted list.
+pub const MANIFEST_VERSION: u32 = 4;
 
 /// When the engine writes checkpoint manifests. Independently of the
 /// triggers below, a run with checkpointing enabled writes a baseline
@@ -214,20 +214,15 @@ fn splitmix(mut z: u64) -> u64 {
 }
 
 /// Identity hash of a `(spec, config)` pair, folded over the spec's JSON
-/// and the config's debug rendering with the chaos clause, the checkpoint
-/// policy, and the shard count removed: a crash-killed run may resume with
-/// its kill switch still armed, from a different checkpoint directory, or
-/// under a different shard count, but any change to the workload, cluster,
-/// placement, staging, faults, retry, or observability settings changes
-/// the hash and invalidates old manifests.
+/// and the config's debug rendering with the chaos clause and the
+/// checkpoint policy removed: a crash-killed run may resume with its kill
+/// switch still armed or from a different checkpoint directory, but any
+/// change to the workload, cluster, placement, staging, faults, retry, or
+/// observability settings changes the hash and invalidates old manifests.
 pub fn config_hash(spec: &WorkflowSpec, cfg: &RunConfig) -> u64 {
     let mut canon = cfg.clone();
     canon.faults = canon.faults.without_chaos();
     canon.checkpoint = None;
-    // Dispatch order is byte-identical at any shard count, so the shard
-    // knob never invalidates a manifest: a run checkpointed at one count
-    // may resume at another.
-    canon.shards = 1;
     let spec_json = serde_json::to_string(spec).unwrap_or_default();
     let cfg_repr = format!("{canon:?}");
     let mut h = 0xdf1c_0de5_0000_0000u64 ^ MANIFEST_VERSION as u64;

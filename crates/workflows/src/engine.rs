@@ -13,7 +13,6 @@ use dfl_iosim::breakdown::{Breakdown, FlowTag};
 use dfl_iosim::cache::CacheConfig;
 use dfl_iosim::cluster::ClusterSpec;
 use dfl_iosim::fault::{unit_hash, FailureCause, FailureReport, FaultPlan, JobFailure};
-use dfl_iosim::shard::ShardPlan;
 use dfl_iosim::sim::{
     Action, CacheOrigins, JobId, JobReport, JobSpec, JobState, RunOutcome, SimConfig, Simulation,
     VerifyPolicy,
@@ -224,12 +223,6 @@ pub struct RunConfig {
     /// [`CheckpointManifest`]s that [`resume_from`] can continue from after
     /// a coordinator crash, byte-identical to an uninterrupted run.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Event-core shard count (see [`dfl_iosim::shard::ShardPlan`]). The
-    /// dispatch order — and therefore every observable, checkpoint, and
-    /// timeline — is byte-identical at any shard count, so this is purely a
-    /// performance knob; it is canonicalized out of the checkpoint config
-    /// hash, and a manifest may be resumed under a different shard count.
-    pub shards: u32,
 }
 
 impl RunConfig {
@@ -249,7 +242,6 @@ impl RunConfig {
             retry: RetryPolicy::default(),
             obs: None,
             checkpoint: None,
-            shards: 1,
         }
     }
 
@@ -268,7 +260,6 @@ impl RunConfig {
             retry: RetryPolicy::default(),
             obs: None,
             checkpoint: None,
-            shards: 1,
         }
     }
 }
@@ -469,9 +460,6 @@ pub(crate) fn validate_run(spec: &WorkflowSpec, cfg: &RunConfig) -> Result<(), E
     if cfg.cluster.node_count() == 0 {
         return Err(EngineError::InvalidSpec("cluster has zero nodes".into()));
     }
-    if let Err(e) = ShardPlan::partition(cfg.cluster.node_count(), cfg.shards) {
-        return Err(EngineError::InvalidSpec(format!("invalid shard count: {e}")));
-    }
     if cfg.staging.shared.is_node_local() {
         return Err(EngineError::InvalidSpec(format!(
             "staging.shared must be a shared tier, got node-local {:?}",
@@ -551,11 +539,10 @@ pub fn run(spec: &WorkflowSpec, cfg: &RunConfig) -> Result<RunResult, EngineErro
 ///
 /// `cfg` must be the run's original configuration, checkpoint cadence
 /// included so future checkpoints land at the original points. Only the
-/// chaos clause, the checkpoint directory, and the shard count are excluded
-/// from the hash — a crash-killed run may resume with its kill switch still
-/// armed (or disarmed) and under a different shard count, but any other
-/// config drift is a typed [`CheckpointError::HashMismatch`], never a
-/// silently wrong answer.
+/// chaos clause and the checkpoint directory are excluded from the hash —
+/// a crash-killed run may resume with its kill switch still armed (or
+/// disarmed), but any other config drift is a typed
+/// [`CheckpointError::HashMismatch`], never a silently wrong answer.
 pub fn resume_from(
     spec: &WorkflowSpec,
     cfg: &RunConfig,
@@ -568,8 +555,8 @@ pub fn resume_from(
 }
 
 /// The shared front half of every resume path: validate the manifest
-/// version and config hash, rebuild the simulator from the snapshot under
-/// the *offered* shard plan, and re-arm chaos. The caller supplies its own
+/// version and config hash, rebuild the simulator from the snapshot, and
+/// re-arm chaos. The caller supplies its own
 /// drive loop (the batch incident loop, or the watch/serve windowed one).
 pub(crate) fn restore_for_resume(
     spec: &WorkflowSpec,
@@ -592,13 +579,7 @@ pub(crate) fn restore_for_resume(
         .into());
     }
     validate_run(spec, cfg)?;
-    // Snapshots are shard-invariant (per-node cursors), so a manifest may be
-    // resumed under any shard count that fits the cluster — the plan is
-    // rebuilt from the *offered* config, and a plan that does not fit fails
-    // with a typed error instead of a wrong answer.
-    let plan = ShardPlan::partition(cfg.cluster.node_count(), cfg.shards)
-        .expect("shard count validated by validate_run");
-    let mut sim = Simulation::restore_sharded(manifest.sim, plan)?;
+    let mut sim = Simulation::restore(manifest.sim)?;
     // Snapshots are chaos-free by construction; re-arm the kill switch from
     // the *offered* config so a chaos driver can schedule further crashes.
     sim.set_chaos(cfg.faults.chaos);
@@ -718,9 +699,7 @@ impl<'a> EngineCtx<'a> {
 /// initial job set (stage-0 staging jobs plus first attempts of every task).
 pub(crate) fn init_run(ctx: &EngineCtx) -> (Simulation, EngineState) {
     let (spec, cfg, shared) = (ctx.spec, ctx.cfg, ctx.shared);
-    let plan = ShardPlan::partition(cfg.cluster.node_count(), cfg.shards)
-        .expect("shard count validated by validate_run");
-    let mut sim = Simulation::new_sharded(
+    let mut sim = Simulation::new(
         cfg.cluster.clone(),
         SimConfig {
             monitor: Some(cfg.monitor.clone()),
@@ -731,9 +710,7 @@ pub(crate) fn init_run(ctx: &EngineCtx) -> (Simulation, EngineState) {
             verify: cfg.verify,
             obs: cfg.obs.clone(),
         },
-        plan,
-    )
-    .expect("shard plan sized to the cluster it partitions");
+    );
     for i in &spec.inputs {
         sim.fs_mut().create_external(&i.path, i.size, shared);
     }
@@ -917,6 +894,32 @@ pub(crate) fn take_checkpoint(
     }
     st.stages_ckpted = stages_complete(sim, ctx, st);
 
+    write_state(sim, ctx, st, seq, &c.dir)
+}
+
+/// Parks the paused state in `manifest-{seq}.json` for the next sequence
+/// number without recording a span or advancing the policy cursors, and
+/// returns that sequence. A preemption is not a policy checkpoint: a run
+/// resumed from here must be byte-identical to an uninterrupted one, and
+/// its next policy checkpoint reuses the sequence, replacing this file.
+pub(crate) fn park_state(
+    sim: &Simulation,
+    ctx: &EngineCtx,
+    st: &EngineState,
+) -> Result<Option<u64>, SimError> {
+    let Some(c) = ctx.cfg.checkpoint.as_ref() else { return Ok(None) };
+    write_state(sim, ctx, st, st.ckpt_seq, &c.dir)?;
+    Ok(Some(st.ckpt_seq))
+}
+
+/// Writes the simulator and engine state as manifest `seq`, atomically.
+fn write_state(
+    sim: &Simulation,
+    ctx: &EngineCtx,
+    st: &EngineState,
+    seq: u64,
+    dir: &std::path::Path,
+) -> Result<(), SimError> {
     let snap = sim.snapshot()?;
     let ledger: Vec<AttemptRecord> = snap
         .jobs
@@ -936,13 +939,13 @@ pub(crate) fn take_checkpoint(
         version: MANIFEST_VERSION,
         config_hash: config_hash(ctx.spec, ctx.cfg),
         seq,
-        sim_time_ns: t_ns,
+        sim_time_ns: sim.time().ns(),
         ledger,
         files: snap.files.clone(),
         engine: st.clone(),
         sim: snap,
     };
-    write_manifest(&c.dir, &manifest)
+    write_manifest(dir, &manifest)
         .map_err(|e| SimError::Snapshot(format!("checkpoint write: {e}")))?;
     Ok(())
 }

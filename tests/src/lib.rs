@@ -19,8 +19,8 @@ pub fn assert_same_measurements(a: &MeasurementSet, b: &MeasurementSet) {
 /// Seed matrix from an environment variable: `var` as a comma-separated
 /// `u64` list (whitespace and empty items tolerated), falling back to
 /// `default` when unset. This is how CI fans one suite out over seeds —
-/// `DFL_FAULT_SEEDS`, `DFL_CHAOS_SEEDS`, `DFL_CORRUPT_SEEDS`, and
-/// `DFL_SHARD_SEEDS` all parse through here.
+/// `DFL_FAULT_SEEDS`, `DFL_CHAOS_SEEDS`, and `DFL_CORRUPT_SEEDS` all parse
+/// through here.
 ///
 /// # Panics
 /// Panics (failing the calling test loudly) when the variable is set but
@@ -41,23 +41,6 @@ pub fn seed_matrix(var: &str, default: &str) -> Vec<u64> {
         panic!("{var} is set but contains no seeds (got '{raw}'); refusing to run zero-seed suites");
     }
     seeds
-}
-
-/// Event-core shard count for suites that honour the `DFL_SHARDS` CI
-/// matrix leg (default 1). Because sharding is byte-invariant, any suite
-/// can run under any count without changing its assertions.
-pub fn env_shards() -> u32 {
-    std::env::var("DFL_SHARDS")
-        .ok()
-        .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("DFL_SHARDS must be a u32, got '{s}'")))
-        .unwrap_or(1)
-}
-
-/// [`env_shards`] clamped to a fixture's node count. A plan wider than the
-/// cluster is a typed error by design, so small fixtures join the
-/// `DFL_SHARDS` matrix at their maximum width instead of failing to start.
-pub fn env_shards_for(nodes: usize) -> u32 {
-    env_shards().min(nodes as u32)
 }
 
 #[cfg(test)]
@@ -88,18 +71,5 @@ mod tests {
         // zero seeds (every seeded suite would pass vacuously).
         std::env::set_var("DFL_TEST_SEEDS_EMPTY", " , ,");
         let _ = seed_matrix("DFL_TEST_SEEDS_EMPTY", "1");
-    }
-
-    #[test]
-    #[should_panic(expected = "DFL_SHARDS must be a u32")]
-    fn env_shards_rejects_non_integer() {
-        std::env::set_var("DFL_SHARDS", "4x");
-        let r = std::panic::catch_unwind(super::env_shards);
-        std::env::remove_var("DFL_SHARDS");
-        // Re-panic outside the guard so the var is cleaned up for other
-        // tests in this process either way.
-        if let Err(p) = r {
-            std::panic::resume_unwind(p);
-        }
     }
 }

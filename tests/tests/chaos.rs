@@ -18,11 +18,14 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use dfl_iosim::fault::unit_hash;
-use dfl_iosim::{FaultPlan, TierKind};
-use dfl_workflows::checkpoint::{load_latest, load_manifest, latest_manifest, CheckpointConfig};
+use dfl_iosim::sim::Event;
+use dfl_iosim::{FaultPlan, SimError, TierKind};
+use dfl_workflows::checkpoint::{
+    load_latest, load_manifest, latest_manifest, CheckpointConfig, CheckpointManifest,
+};
 use dfl_workflows::engine::{resume_from, resume_latest, run, Placement, RunConfig, RunResult, Staging};
 use dfl_workflows::spec::{FileProduce, FileUse, TaskSpec, WorkflowSpec};
-use dfl_workflows::{CheckpointError, EngineError};
+use dfl_workflows::{genomes, CheckpointError, EngineError, MANIFEST_VERSION};
 
 /// Three stages with cross-node data dependencies and enough compute that
 /// crash points land mid-stage: two producers (one per node), a consumer
@@ -58,11 +61,16 @@ fn workload() -> WorkflowSpec {
     w
 }
 
+/// Tiny genomes, the catalog workflow the crash+resume sweep and the
+/// resume-rejection regressions also run on.
+fn genomes_tiny() -> WorkflowSpec {
+    genomes::generate(&genomes::GenomesConfig::tiny())
+}
+
 /// Node faults + observability + a full checkpoint policy (time cadence,
 /// stage boundaries, incidents) writing into `dir`.
 fn chaos_cfg(seed: u64, dir: &std::path::Path) -> RunConfig {
     let mut cfg = RunConfig::default_gpu(2);
-    cfg.shards = dfl_tests::env_shards_for(2);
     cfg.placement = Placement::RoundRobin;
     cfg.staging = Staging::local_intermediates(TierKind::Beegfs, TierKind::Ramdisk);
     cfg.faults = FaultPlan::seeded(seed).crash(0, 250_000_000, 80_000_000).io_errors(0.005);
@@ -142,36 +150,46 @@ fn crash_resume_run(spec: &WorkflowSpec, cfg: &RunConfig, points: &[u64]) -> (Ru
     }
 }
 
-/// The tentpole acceptance test: for every seed, ≥3 seeded crash points,
-/// each crash resumed from disk, final outcome byte-identical to golden.
-#[test]
-fn chaos_crash_resume_matches_golden_across_seeds() {
+/// For every seed: ≥3 seeded crash points, each crash resumed from disk,
+/// final outcome of `spec` byte-identical to golden.
+fn assert_crash_resume_matches_golden(name: &str, spec: &WorkflowSpec) {
     for seed in dfl_tests::seed_matrix("DFL_CHAOS_SEEDS", "1,2,3,7,11,42,1234,20260806") {
-        let dir = fresh_dir(&format!("seed{seed}"));
-        let spec = workload();
+        let dir = fresh_dir(&format!("{name}-seed{seed}"));
         let cfg = chaos_cfg(seed, &dir);
 
-        let golden = run(&spec, &cfg).expect("golden run completes");
+        let golden = run(spec, &cfg).expect("golden run completes");
         let golden_out = outcome(&golden);
         let pts = crash_points(seed, golden.events_dispatched);
-        assert!(pts.len() >= 3, "seed {seed}: {pts:?}");
+        assert!(pts.len() >= 3, "{name} seed {seed}: {pts:?}");
 
         // Every crash point individually: kill once, resume once.
         for &at in &pts {
             let _ = std::fs::remove_dir_all(&dir);
-            let (r, kills) = crash_resume_run(&spec, &cfg, &[at]);
-            assert_eq!(kills, 1, "seed {seed}: kill at {at} must fire");
-            assert_eq!(golden_out, outcome(&r), "seed {seed}, crash at {at}");
+            let (r, kills) = crash_resume_run(spec, &cfg, &[at]);
+            assert_eq!(kills, 1, "{name} seed {seed}: kill at {at} must fire");
+            assert_eq!(golden_out, outcome(&r), "{name} seed {seed}, crash at {at}");
         }
 
         // And the full gauntlet: all crash points in one lifetime,
         // resuming after each kill.
         let _ = std::fs::remove_dir_all(&dir);
-        let (r, kills) = crash_resume_run(&spec, &cfg, &pts);
-        assert!(kills >= 1, "seed {seed}: at least the first kill fires");
-        assert_eq!(golden_out, outcome(&r), "seed {seed}, gauntlet {pts:?}");
+        let (r, kills) = crash_resume_run(spec, &cfg, &pts);
+        assert!(kills >= 1, "{name} seed {seed}: at least the first kill fires");
+        assert_eq!(golden_out, outcome(&r), "{name} seed {seed}, gauntlet {pts:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The tentpole acceptance test, on the three-stage chaos workload.
+#[test]
+fn chaos_crash_resume_matches_golden_across_seeds() {
+    assert_crash_resume_matches_golden("chaos", &workload());
+}
+
+/// The same sweep on a catalog workflow.
+#[test]
+fn genomes_crash_resume_matches_golden_across_seeds() {
+    assert_crash_resume_matches_golden("genomes", &genomes_tiny());
 }
 
 /// A manifest from a different `(spec, config)` pair is refused with a
@@ -214,13 +232,77 @@ fn manifest_version_gate_rejects_future_versions() {
 
     let path = latest_manifest(&dir).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("{\"version\":3,"), "manifest leads with its version");
-    std::fs::write(&path, text.replacen("{\"version\":3,", "{\"version\":42,", 1)).unwrap();
+    let current = format!("{{\"version\":{MANIFEST_VERSION},");
+    assert!(text.starts_with(&current), "manifest leads with its version");
+    std::fs::write(&path, text.replacen(&current, "{\"version\":42,", 1)).unwrap();
     match load_manifest(&path) {
-        Err(CheckpointError::VersionMismatch { found: 42, expected: 3 }) => {}
+        Err(CheckpointError::VersionMismatch { found: 42, expected: MANIFEST_VERSION }) => {}
         other => panic!("expected VersionMismatch, got {:?}", other.map(|m| m.seq)),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs tiny genomes to completion with checkpoints into a fresh `tag`
+/// directory and returns its config plus the newest manifest on disk.
+fn checkpointed_genomes(tag: &str) -> (WorkflowSpec, RunConfig, CheckpointManifest) {
+    let spec = genomes_tiny();
+    let cfg = chaos_cfg(9, &fresh_dir(tag));
+    run(&spec, &cfg).expect("checkpointed run completes");
+    let dir = &cfg.checkpoint.as_ref().unwrap().dir;
+    let manifest = load_latest(dir).expect("manifest on disk");
+    let _ = std::fs::remove_dir_all(dir);
+    (spec, cfg, manifest)
+}
+
+/// Regression: a manifest embedding a snapshot from an older
+/// `SNAPSHOT_VERSION` must be refused with a typed error, not misread.
+#[test]
+fn resume_rejects_old_snapshot_version() {
+    let (spec, cfg, mut manifest) = checkpointed_genomes("oldsnap");
+    manifest.sim.version -= 1;
+    match resume_from(&spec, &cfg, manifest) {
+        Err(EngineError::Sim(SimError::Snapshot(msg))) => {
+            assert!(msg.contains("version"), "{msg}");
+        }
+        other => panic!("expected typed snapshot-version rejection, got {other:?}"),
+    }
+}
+
+/// Regression: a manifest from the previous `MANIFEST_VERSION` is refused
+/// before its payload is interpreted.
+#[test]
+fn resume_rejects_old_manifest_version() {
+    let (spec, cfg, mut manifest) = checkpointed_genomes("oldmanifest");
+    manifest.version = MANIFEST_VERSION - 1;
+    match resume_from(&spec, &cfg, manifest) {
+        Err(EngineError::Checkpoint(CheckpointError::VersionMismatch { found, .. })) => {
+            assert_eq!(found, MANIFEST_VERSION - 1);
+        }
+        other => panic!("expected typed manifest-version rejection, got {other:?}"),
+    }
+}
+
+/// Regression: a queued event naming a job, crash, or capacity change the
+/// snapshot does not carry is refused with a typed error at restore, not
+/// an index panic at dispatch.
+#[test]
+fn resume_rejects_queued_events_naming_missing_state() {
+    let (spec, cfg, manifest) = checkpointed_genomes("dangling");
+    let sim = &manifest.sim;
+    for ev in [
+        Event::Arrive(sim.jobs.len() as u32 + 100),
+        Event::NodeCrash(sim.config.faults.crashes.len() as u32),
+        Event::CapacityChange(sim.capacity_changes.len() as u32),
+    ] {
+        let mut bad = manifest.clone();
+        bad.sim.heap.push((bad.sim.now_ns, bad.sim.next_seq, ev));
+        match resume_from(&spec, &cfg, bad) {
+            Err(EngineError::Sim(SimError::Snapshot(msg))) => {
+                assert!(msg.contains("out of range"), "{ev:?}: {msg}");
+            }
+            other => panic!("expected typed snapshot rejection for {ev:?}, got {other:?}"),
+        }
+    }
 }
 
 /// Checkpoint spans and counters ride the timeline: the golden run records

@@ -51,7 +51,6 @@ fn chain() -> WorkflowSpec {
 
 fn chain_cfg() -> RunConfig {
     let mut cfg = RunConfig::default_gpu(2);
-    cfg.shards = dfl_tests::env_shards_for(2);
     cfg.placement = Placement::RoundRobin;
     cfg
 }

@@ -46,7 +46,6 @@ fn diamond() -> WorkflowSpec {
 /// m0.dat but not m1.dat.
 fn diamond_cfg() -> RunConfig {
     let mut cfg = RunConfig::default_gpu(2);
-    cfg.shards = dfl_tests::env_shards_for(2);
     cfg.placement = Placement::RoundRobin;
     cfg.staging = Staging::local_intermediates(TierKind::Beegfs, TierKind::Ramdisk);
     cfg

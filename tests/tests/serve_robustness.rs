@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dfl_serve::{Client, Daemon, NetServer, Request, ServeConfig};
-use dfl_workflows::catalog;
+use dfl_workflows::{catalog, MANIFEST_VERSION};
 use serde::Value;
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -375,6 +375,55 @@ fn torn_job_manifest_is_skipped_on_recovery() {
         "the torn top manifest was skipped with a typed warning"
     );
     d.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_job_manifest_reruns_fresh_on_recovery() {
+    let golden_dir = state_dir("stale-golden");
+    let d = daemon(&golden_dir, |c| c.window_ms = 20);
+    let job = accept(&d, &submit("genomes", |_| {}));
+    assert_eq!(run_to_end(&d, job).0, "done");
+    let golden = result_bytes(&golden_dir, job);
+    d.shutdown();
+
+    // Park a genomes run mid-flight, then stamp its newest manifest with
+    // the previous schema version: intact, but unusable by this build.
+    let dir = state_dir("stale");
+    let d = daemon(&dir, |c| c.window_ms = 20);
+    let job = accept(&d, &submit("genomes", |_| {}));
+    let mut drained = false;
+    d.handle_line(&stream_line(job), &mut |line| {
+        if !drained && line.contains("\"type\":\"window\"") {
+            drained = true;
+            d.drain();
+        }
+    });
+    assert!(drained);
+    d.shutdown();
+
+    let newest = std::fs::read_dir(dir.join(format!("job-{job}")))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("manifest-"))
+        .max()
+        .expect("parked job has manifests");
+    let text = std::fs::read_to_string(&newest).unwrap();
+    let current = format!("{{\"version\":{MANIFEST_VERSION},");
+    assert!(text.starts_with(&current), "manifest leads with its version");
+    let old = format!("{{\"version\":{},", MANIFEST_VERSION - 1);
+    std::fs::write(&newest, text.replacen(&current, &old, 1)).unwrap();
+
+    // Recovery discards the stale checkpoints and reruns from the ledgered
+    // submit parameters; determinism makes the result golden.
+    let d = daemon(&dir, |c| c.window_ms = 20);
+    let (state, detail) = run_to_end(&d, job);
+    assert_eq!(state, "done", "{detail}");
+    assert_eq!(d.snapshot().counter("serve_stale_checkpoints"), 1);
+    assert_eq!(result_bytes(&dir, job), golden, "fresh rerun changed the result bytes");
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
