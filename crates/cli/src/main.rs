@@ -216,7 +216,7 @@ fn parse_cost(args: &[String]) -> Result<CostModel, CliError> {
 
 fn load(path: &str) -> Result<DflGraph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let set = MeasurementSet::from_json(&text).map_err(|e| format!("bad measurement JSON: {e}"))?;
+    let set = MeasurementSet::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(DflGraph::from_measurements(&set))
 }
 

@@ -259,6 +259,43 @@ fn analyze_missing_file_is_a_runtime_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// A one-record measurement file as written before the format carried a
+/// version: no `version` field, one `[key, {stats}]` pair per block.
+const UNVERSIONED_MEASUREMENTS: &str = r#"{
+  "tasks": [{"task": 0, "name": "w-1", "logical": "w", "start_ns": 0, "end_ns": 100}],
+  "files": [{"file": 0, "path": "x.dat", "size": 1000, "block_size": 4096}],
+  "records": [{
+    "task": 0, "task_name": "w-1", "file": 0, "file_path": "x.dat",
+    "opens": 1, "read_ops": 0, "write_ops": 1, "bytes_read": 0, "bytes_written": 1000,
+    "read_ns": 0, "write_ns": 10, "open_span_ns": 100, "first_open_ns": 0,
+    "last_close_ns": 100, "file_size": 1000,
+    "read_distance": {"zero": 0, "near": 0, "far": 0, "sum_abs": 0, "count": 0},
+    "write_distance": {"zero": 0, "near": 0, "far": 0, "sum_abs": 0, "count": 0},
+    "histogram": {
+      "block_size": 4096, "granule": 4096, "max_locations": 512,
+      "sampler": {"modulus": 1, "threshold": 1, "seed": 7},
+      "blocks": [[0, {"reads": 0, "writes": 1, "bytes_read": 0, "bytes_written": 1000,
+                      "first_ns": 0, "last_ns": 0, "last_was_write": true, "repeat_hits": 0}]]
+    }
+  }]
+}"#;
+
+#[test]
+fn analyze_unversioned_measurements_is_a_typed_runtime_error() {
+    let dir = tmpdir("oldformat");
+    let path = dir.join("old.json");
+    std::fs::write(&path, UNVERSIONED_MEASUREMENTS).unwrap();
+    let out = datalife().args(["analyze", path.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!(
+        "measurement format version 1 (this build reads {})",
+        dfl_trace::MEASUREMENT_VERSION
+    );
+    assert!(stderr.contains(&want), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_unknown_workflow_is_a_usage_error() {
     let out = datalife().args(["run", "fusion"]).output().unwrap();

@@ -2193,7 +2193,9 @@ impl Simulation {
 /// gone), group-coverage flow-heap entries, node-keyed event cursors.
 /// v5: the event cursors (`cursors`, `shared_queued`) are gone; the queue
 /// travels as one sorted list.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// v6: monitor block histograms travel as run-length rows, one per run of
+/// contiguous equal blocks, instead of one `[key, stats]` pair per block.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Serializable state of one [`Simulation`] job (see [`SimSnapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -7,8 +7,9 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
+use crate::block::MIN_BLOCK;
 use crate::histogram::BlockHistogram;
 use crate::ids::{FileId, Interner, TaskId};
 use crate::sampling::SpatialSampler;
@@ -55,7 +56,11 @@ impl PairState {
 }
 
 /// Global per-file state shared by all tasks that touch the file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Decoding checks that `block_size` is a power of two of at least
+/// [`MIN_BLOCK`], as every block size the monitor picks is: export
+/// coarsens each pair's histogram to it.
+#[derive(Debug, Clone, Serialize)]
 pub struct FileState {
     pub path: String,
     /// Current access resolution for the file. Monotonically non-decreasing;
@@ -66,6 +71,23 @@ pub struct FileState {
     pub size: u64,
     /// Deterministic sampling seed derived from the path.
     pub seed: u64,
+}
+
+impl Deserialize for FileState {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let block_size: u64 = serde::de_field(v, "block_size")?;
+        if !block_size.is_power_of_two() || block_size < MIN_BLOCK {
+            return Err(serde::Error::msg(format!(
+                "file state: block_size {block_size} must be a power of two >= {MIN_BLOCK}"
+            )));
+        }
+        Ok(FileState {
+            path: serde::de_field(v, "path")?,
+            block_size,
+            size: serde::de_field(v, "size")?,
+            seed: serde::de_field(v, "seed")?,
+        })
+    }
 }
 
 /// The collector proper. Callers lock it externally (see `Monitor`).
@@ -192,5 +214,17 @@ mod tests {
         assert!(records[0].file <= records[1].file);
         // Pair for a.dat was coarsened from 4096 to the file's 8192.
         assert_eq!(records[0].histogram.block_size(), 8192);
+    }
+
+    #[test]
+    fn file_state_decoder_rejects_block_sizes_export_cannot_coarsen_to() {
+        let state = FileState { path: "a.dat".into(), block_size: 8192, size: 1, seed: 1 };
+        let json = serde_json::to_string(&state).unwrap();
+        assert!(serde_json::from_str::<FileState>(&json).is_ok());
+        for bad in [0u64, 2048, 12288] {
+            let text = json.replace("8192", &bad.to_string());
+            let err = serde_json::from_str::<FileState>(&text).unwrap_err().to_string();
+            assert!(err.contains(&format!("block_size {bad} must be a power of two")), "{err}");
+        }
     }
 }

@@ -4,9 +4,43 @@
 //! `tazer_stat` directory: every task's lifetime, every file's metadata, and
 //! one bounded record per task-file pair.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
+
+use serde::{Deserialize, Serialize, Value};
 
 use crate::stats::{FileRecord, TaskFileRecord, TaskRecord};
+
+/// Measurement-file format version, written as the file's leading
+/// `version` field and checked before the payload is decoded.
+///
+/// v1: unversioned; block histograms as one `[key, {stats}]` pair per
+/// block. A file without a `version` field reports v1.
+///
+/// v2: histograms as run-length rows (see
+/// [`BlockHistogram`](crate::histogram::BlockHistogram)).
+pub const MEASUREMENT_VERSION: u32 = 2;
+
+/// Why a measurement file could not be read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MeasurementError {
+    /// The text is not JSON, or does not decode as a measurement set.
+    Parse(String),
+    /// The file's format version is not [`MEASUREMENT_VERSION`].
+    VersionMismatch { found: u32, expected: u32 },
+}
+
+impl fmt::Display for MeasurementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MeasurementError::Parse(e) => write!(f, "bad measurement JSON: {e}"),
+            MeasurementError::VersionMismatch { found, expected } => {
+                write!(f, "measurement format version {found} (this build reads {expected})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MeasurementError {}
 
 /// A complete snapshot of one measured workflow execution.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
@@ -17,14 +51,41 @@ pub struct MeasurementSet {
 }
 
 impl MeasurementSet {
-    /// Serializes to pretty JSON (the interchange format of the artifact).
+    /// Serializes to pretty JSON (the interchange format of the artifact),
+    /// led by the [`MEASUREMENT_VERSION`] field.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
+        let mut v = self.to_value();
+        if let Value::Object(fields) = &mut v {
+            fields.insert(0, ("version".into(), MEASUREMENT_VERSION.to_value()));
+        }
+        serde_json::to_string_pretty(&v)
     }
 
-    /// Parses a set from JSON.
+    /// Parses a set written by [`MeasurementSet::to_json`]. The format
+    /// version is checked on the raw JSON value before the payload is
+    /// decoded, so a file from another format fails with
+    /// [`MeasurementError::VersionMismatch`] rather than a decode error.
+    pub fn parse(s: &str) -> Result<Self, MeasurementError> {
+        let v: Value = serde_json::from_str(s).map_err(|e| MeasurementError::Parse(e.to_string()))?;
+        if !matches!(v, Value::Object(_)) {
+            return Err(MeasurementError::Parse("expected a JSON object".into()));
+        }
+        let found = match v.get("version") {
+            None => 1,
+            Some(n) => n
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| MeasurementError::Parse(format!("bad `version` {n:?}")))?,
+        };
+        if found != MEASUREMENT_VERSION {
+            return Err(MeasurementError::VersionMismatch { found, expected: MEASUREMENT_VERSION });
+        }
+        Self::from_value(&v).map_err(|e| MeasurementError::Parse(e.0))
+    }
+
+    /// [`MeasurementSet::parse`] with the error flattened to a message.
     pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(s)
+        Self::parse(s).map_err(|e| serde::Error::msg(e.to_string()).into())
     }
 
     /// Merges another set into this one, offsetting ids so records from
@@ -111,6 +172,31 @@ mod tests {
         assert_eq!(back.records.len(), 1);
         assert_eq!(back.records[0].bytes_written, 1000);
         assert_eq!(back.tasks[0].name, "a-1");
+    }
+
+    #[test]
+    fn other_versions_are_refused_before_decoding() {
+        let json = tiny_set("a-1", "x.dat").to_json().unwrap();
+        let current = format!("\"version\": {MEASUREMENT_VERSION},");
+        assert!(json.starts_with(&format!("{{\n  {current}")), "the version leads: {json}");
+        // Unversioned (v1) and future files; neither payload is looked at.
+        for (text, found) in [
+            (json.replacen(&current, "", 1), 1),
+            (json.replacen(&current, "\"version\": 9,", 1), 9),
+            ("{\"records\": \"not a list\"}".to_owned(), 1),
+        ] {
+            let expected = MEASUREMENT_VERSION;
+            assert_eq!(
+                MeasurementSet::parse(&text).unwrap_err(),
+                MeasurementError::VersionMismatch { found, expected }
+            );
+            let msg = MeasurementSet::from_json(&text).unwrap_err().to_string();
+            let want = format!("version {found} (this build reads {expected})");
+            assert!(msg.contains(&want), "{msg}");
+        }
+        for bad in ["[]", "{\"version\": \"2\"}", "not json"] {
+            assert!(matches!(MeasurementSet::parse(bad), Err(MeasurementError::Parse(_))), "{bad}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::sampling::SpatialSampler;
 
 /// Per-block statistics. Deliberately small and fixed-size: 8 scalar fields,
 /// within the paper's ≤ ~10-statistics-per-location budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BlockStats {
     /// Number of read operations touching the block.
     pub reads: u64,
@@ -71,39 +71,53 @@ pub enum AccessKind {
 /// Semantically an ordered map, stored as a key-sorted `Vec` because the
 /// dominant access pattern — one sequential whole-file operation filling a
 /// contiguous index range — turns into a single bulk splice instead of one
-/// tree insertion per block. Serializes exactly like the `BTreeMap` it
-/// replaced (an array of `[key, value]` pairs in key order), so snapshots
-/// and measurement exports are unchanged.
-#[derive(Debug, Clone, Default)]
+/// tree insertion per block.
+///
+/// On the wire (checkpoint snapshots and measurement files) the same
+/// pattern makes neighbouring blocks identical, so the map travels
+/// run-length encoded: one row per maximal run of key-contiguous blocks
+/// with equal stats, `[start, len, reads, writes, bytes_read,
+/// bytes_written, first_ns, last_ns, last_was_write, repeat_hits]`.
+/// [`BlockHistogram`]'s decoder expands the rows back into this `Vec`.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct BlockMap(Vec<(u64, BlockStats)>);
+
+/// Cells in one run-length row of the wire form.
+const ROW_CELLS: usize = 10;
 
 impl Serialize for BlockMap {
     fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for BlockMap {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut pairs: Vec<(u64, BlockStats)> = Deserialize::from_value(v)?;
-        // Normalize hand-edited input to the ordered-map invariant the hot
-        // path relies on: sorted unique keys, last duplicate winning (the
-        // same outcome as collecting the pairs into a `BTreeMap`).
-        pairs.sort_by_key(|&(k, _)| k);
-        pairs.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                kept.1 = later.1;
-                true
-            } else {
-                false
-            }
-        });
-        Ok(BlockMap(pairs))
+        let n = |x: u64| x.to_value();
+        let rows = self
+            .0
+            .chunk_by(|a, b| b.0 == a.0 + 1 && b.1 == a.1)
+            .map(|run| {
+                let (start, s) = run[0];
+                Value::Array(vec![
+                    n(start),
+                    n(run.len() as u64),
+                    n(s.reads),
+                    n(s.writes),
+                    n(s.bytes_read),
+                    n(s.bytes_written),
+                    n(s.first_ns),
+                    n(s.last_ns),
+                    s.last_was_write.to_value(),
+                    n(s.repeat_hits),
+                ])
+            })
+            .collect();
+        Value::Array(rows)
     }
 }
 
 /// A bounded block histogram for one task-file pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Decoding checks every invariant that [`BlockHistogram::new`] asserts and
+/// the recording hot path assumes, so a hand-edited or corrupted file is a
+/// typed error instead of a panic or a loop that never ends (coarsening a
+/// zero block size doubles zero forever).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BlockHistogram {
     /// Current block size in bytes (power of two, multiple of the granule).
     block_size: u64,
@@ -115,6 +129,86 @@ pub struct BlockHistogram {
     max_locations: u32,
     sampler: SpatialSampler,
     blocks: BlockMap,
+}
+
+impl Deserialize for BlockHistogram {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let invalid = |m: String| serde::Error::msg(format!("block histogram: {m}"));
+        let block_size: u64 = serde::de_field(v, "block_size")?;
+        let granule: u64 = serde::de_field(v, "granule")?;
+        let max_locations: u32 = serde::de_field(v, "max_locations")?;
+        let sampler: SpatialSampler = serde::de_field(v, "sampler")?;
+        if !block_size.is_power_of_two() || !granule.is_power_of_two() {
+            return Err(invalid(format!(
+                "block_size {block_size} and granule {granule} must be powers of two"
+            )));
+        }
+        if granule < MIN_BLOCK || granule > block_size {
+            return Err(invalid(format!(
+                "granule {granule} must lie in [{MIN_BLOCK}, block_size {block_size}]"
+            )));
+        }
+        if max_locations == 0 {
+            return Err(invalid("max_locations must be positive".into()));
+        }
+        let rows = v
+            .get("blocks")
+            .and_then(Value::as_array)
+            .ok_or_else(|| invalid("missing `blocks` row array".into()))?;
+        let mut h = BlockHistogram {
+            block_size,
+            granule,
+            max_locations,
+            sampler,
+            blocks: BlockMap::default(),
+        };
+        // Any block an access can touch starts at a byte offset that fits
+        // in u64; coarsening and sampling multiply keys on that premise.
+        let max_key = u64::MAX / block_size;
+        for row in rows {
+            let cells = row
+                .as_array()
+                .filter(|c| c.len() == ROW_CELLS)
+                .ok_or_else(|| invalid(format!("run row is not {ROW_CELLS} cells: {row:?}")))?;
+            let cell = |i: usize| {
+                let c = &cells[i];
+                c.as_u64().ok_or_else(|| invalid(format!("run row cell {i} is not a u64: {c:?}")))
+            };
+            let (start, len) = (cell(0)?, cell(1)?);
+            if len == 0 {
+                return Err(invalid(format!("run at block {start} has length 0")));
+            }
+            if let Some(&(prev, _)) = h.blocks.0.last() {
+                if start <= prev {
+                    return Err(invalid(format!("run at block {start} does not follow {prev}")));
+                }
+            }
+            let last = start
+                .checked_add(len - 1)
+                .filter(|&k| k <= max_key)
+                .ok_or_else(|| invalid(format!("run {start}+{len} overflows the byte range")))?;
+            if len > u64::from(max_locations) - h.blocks.0.len() as u64 {
+                return Err(invalid(format!("more than max_locations {max_locations} blocks")));
+            }
+            let stats = BlockStats {
+                reads: cell(2)?,
+                writes: cell(3)?,
+                bytes_read: cell(4)?,
+                bytes_written: cell(5)?,
+                first_ns: cell(6)?,
+                last_ns: cell(7)?,
+                last_was_write: bool::from_value(&cells[8])?,
+                repeat_hits: cell(9)?,
+            };
+            for key in start..=last {
+                if !h.tracked(key, block_size) {
+                    return Err(invalid(format!("block {key} is not sampled")));
+                }
+                h.blocks.0.push((key, stats));
+            }
+        }
+        Ok(h)
+    }
 }
 
 impl BlockHistogram {
@@ -427,38 +521,122 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_matches_map_shape() {
+    fn wire_form_is_one_row_per_run() {
         let mut h = hist(4096, 1024);
         h.record(AccessKind::Read, 0, 3 * 4096, 7, false);
-        let v = serde::Serialize::to_value(&h);
-        // Blocks serialize as an array of [key, stats] pairs in key order —
-        // the same wire shape as the ordered map this storage replaced.
-        let blocks = v["blocks"].as_array().expect("blocks array");
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0][0].as_u64(), Some(0));
-        assert_eq!(blocks[2][0].as_u64(), Some(2));
-        let back: BlockHistogram = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.iter_sorted(), h.iter_sorted());
-        assert_eq!(back.block_size(), h.block_size());
+        h.record(AccessKind::Write, 5 * 4096, 4096, 9, false);
+        let v = h.to_value();
+        // Three identical neighbours collapse into one row; the gap at
+        // blocks 3-4 starts a second.
+        let rows: Vec<String> = v["blocks"]
+            .as_array()
+            .expect("blocks array")
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        assert_eq!(rows, ["[0,3,1,0,4096,0,7,7,false,0]", "[5,1,0,1,0,4096,9,9,true,0]"]);
+        assert_eq!(BlockHistogram::from_value(&v).unwrap(), h);
     }
 
-    #[test]
-    fn deserialize_normalizes_unsorted_input() {
-        let mut h = hist(4096, 1024);
-        h.record(AccessKind::Read, 0, 2 * 4096, 7, false);
-        let mut v = serde::Serialize::to_value(&h);
-        if let serde::Value::Object(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "blocks" {
-                    if let serde::Value::Array(pairs) = val {
-                        pairs.reverse();
-                    }
+    /// `h`'s wire value with field `key` replaced by `val`.
+    fn with_field(h: &BlockHistogram, key: &str, val: Value) -> Value {
+        let mut v = h.to_value();
+        if let Value::Object(fields) = &mut v {
+            for (k, x) in fields.iter_mut() {
+                if k == key {
+                    *x = val.clone();
                 }
             }
         }
-        let back: BlockHistogram = serde::Deserialize::from_value(&v).unwrap();
-        let keys: Vec<u64> = back.iter_sorted().iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![0, 1], "hand-edited order is re-sorted on restore");
+        v
+    }
+
+    /// One run-length row of `len` single-read blocks from `start`.
+    fn row(start: u64, len: u64) -> Value {
+        serde_json::from_str(&format!("[{start},{len},1,0,4096,0,0,0,false,0]")).unwrap()
+    }
+
+    fn with_rows(h: &BlockHistogram, rows: Vec<Value>) -> Value {
+        with_field(h, "blocks", Value::Array(rows))
+    }
+
+    #[test]
+    fn decoder_rejects_each_broken_invariant() {
+        let h = hist(4096, 8);
+        let n = |x: u64| x.to_value();
+        let old_pair: Value = serde_json::from_str(
+            r#"[0,{"reads":1,"writes":0,"bytes_read":4096,"bytes_written":0,
+                "first_ns":0,"last_ns":0,"last_was_write":false,"repeat_hits":0}]"#,
+        )
+        .unwrap();
+        let short_row: Value = serde_json::from_str("[0,1,1,0,4096,0,0,0,false]").unwrap();
+        let cases = [
+            ("zero block size", with_field(&h, "block_size", n(0)), "powers of two"),
+            ("odd block size", with_field(&h, "block_size", n(12288)), "powers of two"),
+            ("odd granule", with_field(&h, "granule", n(6144)), "powers of two"),
+            ("granule below MIN_BLOCK", with_field(&h, "granule", n(2048)), "must lie in"),
+            ("granule above block size", with_field(&h, "granule", n(8192)), "must lie in"),
+            ("zero max_locations", with_field(&h, "max_locations", n(0)), "must be positive"),
+            ("too many blocks", with_rows(&h, vec![row(0, 5), row(6, 4)]), "max_locations"),
+            ("empty run", with_rows(&h, vec![row(3, 0)]), "length 0"),
+            ("repeated key", with_rows(&h, vec![row(0, 2), row(1, 1)]), "does not follow"),
+            ("descending runs", with_rows(&h, vec![row(4, 1), row(0, 1)]), "does not follow"),
+            ("start + len overflow", with_rows(&h, vec![row(u64::MAX, 2)]), "overflows"),
+            ("key past u64 bytes", with_rows(&h, vec![row(u64::MAX / 4096 + 1, 1)]), "overflows"),
+            ("short row", with_rows(&h, vec![short_row]), "10 cells"),
+            ("old [key, stats] pair", with_rows(&h, vec![old_pair]), "10 cells"),
+        ];
+        for (why, v, expect) in cases {
+            match BlockHistogram::from_value(&v) {
+                Err(e) => assert!(e.0.contains(expect), "{why}: {e}"),
+                Ok(_) => panic!("{why}: accepted"),
+            }
+        }
+        // The unedited value decodes, so each rejection above is the edit's.
+        assert!(BlockHistogram::from_value(&with_rows(&h, vec![row(0, 5), row(6, 3)])).is_ok());
+
+        // A block the sampler skips cannot come from recording.
+        let sampler = SpatialSampler::with_rate(4, 1, 3);
+        let skipped = (0..).find(|&k| !sampler.tracks(k)).unwrap();
+        let sampled = BlockHistogram::new(4096, 8, sampler);
+        let err = BlockHistogram::from_value(&with_rows(&sampled, vec![row(skipped, 1)]));
+        assert!(err.is_err_and(|e| e.0.contains("not sampled")));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// decode(encode(h)) == h, and re-encoding is byte-identical, over
+        /// random read/write mixes with location-bound and explicit
+        /// coarsening, with and without sampling gaps between keys.
+        #[test]
+        fn wire_form_round_trips(
+            ops in proptest::collection::vec(
+                (proptest::any::<bool>(), 0u64..96, 1u64..24 * 4096, proptest::any::<bool>()),
+                0..32,
+            ),
+            max_locations in 4u32..96,
+            modulus in 1u64..5,
+            extra_coarsen in 0u32..3,
+        ) {
+            let sampler = match modulus {
+                1 => SpatialSampler::keep_all(9),
+                m => SpatialSampler::with_rate(m, 1, 9),
+            };
+            let mut h = BlockHistogram::new(4096, max_locations, sampler);
+            for (t, &(write, block, len, repeat)) in ops.iter().enumerate() {
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                // Offsets straddle block boundaries half the time.
+                h.record(kind, block * 2048, len, t as u64 / 3, repeat);
+            }
+            for _ in 0..extra_coarsen {
+                h.coarsen();
+            }
+            let json = serde_json::to_string(&h).unwrap();
+            let back: BlockHistogram = serde_json::from_str(&json).unwrap();
+            proptest::prop_assert_eq!(&back, &h);
+            proptest::prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

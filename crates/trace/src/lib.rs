@@ -51,7 +51,7 @@ pub mod stream;
 
 pub use block::BlockPolicy;
 pub use error::TraceError;
-pub use export::MeasurementSet;
+pub use export::{MeasurementError, MeasurementSet, MEASUREMENT_VERSION};
 pub use handle::{OpenMode, SeekFrom};
 pub use ids::{FileId, TaskId};
 pub use monitor::{IoTiming, Monitor, MonitorConfig, MonitorState, TaskContext, TaskSnapshot};

@@ -19,7 +19,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use dfl_iosim::fs::FileMeta;
-use dfl_iosim::{SimError, SimSnapshot};
+use dfl_iosim::{SimError, SimSnapshot, SNAPSHOT_VERSION};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::{EngineState, RunConfig};
@@ -37,7 +37,10 @@ use crate::spec::WorkflowSpec;
 /// `RunConfig` an event-core partition count.
 ///
 /// v4: both are gone — one event queue, serialized as one sorted list.
-pub const MANIFEST_VERSION: u32 = 4;
+///
+/// v5: the embedded [`SimSnapshot`] (v6) carries block histograms as
+/// run-length rows.
+pub const MANIFEST_VERSION: u32 = 5;
 
 /// When the engine writes checkpoint manifests. Independently of the
 /// triggers below, a run with checkpointing enabled writes a baseline
@@ -249,10 +252,13 @@ pub fn write_manifest(dir: &Path, manifest: &CheckpointManifest) -> Result<PathB
     Ok(path)
 }
 
-/// Reads and validates one manifest file. The schema version is checked on
-/// the raw JSON value *before* the full payload is decoded, so a manifest
-/// from an incompatible build fails with [`CheckpointError::VersionMismatch`]
-/// rather than an opaque parse error.
+/// Reads and validates one manifest file. The schema versions are checked
+/// on the raw JSON value *before* the full payload is decoded, so a
+/// manifest from an incompatible build fails with
+/// [`CheckpointError::VersionMismatch`], and one embedding a snapshot of
+/// another layout with the [`SimError::Snapshot`] that
+/// [`dfl_iosim::Simulation::restore`] gives, rather than an opaque parse
+/// error.
 pub fn load_manifest(path: &Path) -> Result<CheckpointManifest, CheckpointError> {
     let text = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
     let value: Value = serde_json::from_str(&text)
@@ -260,6 +266,13 @@ pub fn load_manifest(path: &Path) -> Result<CheckpointManifest, CheckpointError>
     let found = value["version"].as_u64().unwrap_or(0) as u32;
     if found != MANIFEST_VERSION {
         return Err(CheckpointError::VersionMismatch { found, expected: MANIFEST_VERSION });
+    }
+    let snapshot = value["sim"]["version"].as_u64();
+    if let Some(found) = snapshot.filter(|&v| v != u64::from(SNAPSHOT_VERSION)) {
+        return Err(SimError::Snapshot(format!(
+            "snapshot version {found} (this build expects {SNAPSHOT_VERSION})"
+        ))
+        .into());
     }
     CheckpointManifest::from_value(&value)
         .map_err(|e| CheckpointError::Parse(format!("{}: {}", path.display(), e.0)))
@@ -313,9 +326,12 @@ pub fn load_latest(dir: &Path) -> Result<CheckpointManifest, CheckpointError> {
 /// or parse, and returns the first good one along with a typed
 /// [`TornManifest`] warning per skipped file.
 ///
-/// A [`CheckpointError::VersionMismatch`] is *not* skipped: an intact
-/// manifest from an incompatible build is a configuration problem, and
-/// silently resuming from an older sequence would mask it.
+/// A [`CheckpointError::VersionMismatch`] (or a snapshot-version
+/// [`CheckpointError::Sim`]) is *not* skipped: an intact manifest from an
+/// incompatible build is a configuration problem, and silently resuming
+/// from an older sequence would mask it. A manifest whose payload fails
+/// its checks (a block histogram with a zero block size, say) is a parse
+/// error, and so skipped like a torn one.
 pub fn load_latest_tolerant(
     dir: &Path,
 ) -> Result<(CheckpointManifest, Vec<TornManifest>), CheckpointError> {
@@ -462,6 +478,125 @@ mod tests {
             Err(CheckpointError::VersionMismatch { found: 999, .. }) => {}
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Applies `f` to the fields of every block histogram inside `v`;
+    /// returns how many it visited.
+    fn edit_histograms(v: &mut Value, f: &mut impl FnMut(&mut Vec<(String, Value)>)) -> usize {
+        match v {
+            Value::Object(fields) if fields.iter().any(|(k, _)| k == "granule") => {
+                f(fields);
+                1
+            }
+            Value::Object(fields) => fields.iter_mut().map(|(_, x)| edit_histograms(x, f)).sum(),
+            Value::Array(items) => items.iter_mut().map(|x| edit_histograms(x, f)).sum(),
+            _ => 0,
+        }
+    }
+
+    fn set(fields: &mut [(String, Value)], key: &str, val: Value) {
+        for (k, x) in fields.iter_mut() {
+            if k == key {
+                *x = val.clone();
+            }
+        }
+    }
+
+    /// Tiny genomes run to completion with a checkpoint every 25 ms of sim
+    /// time into `dir`; returns the spec, config and result.
+    fn checkpointed_genomes(dir: &Path) -> (WorkflowSpec, RunConfig, crate::engine::RunResult) {
+        let spec = crate::genomes::generate(&crate::genomes::GenomesConfig::tiny());
+        let mut cfg = RunConfig::default_gpu(2);
+        cfg.checkpoint = Some(CheckpointConfig::to_dir(dir).every_sim_ns(25_000_000));
+        let golden = crate::engine::run(&spec, &cfg).unwrap();
+        (spec, cfg, golden)
+    }
+
+    #[test]
+    fn zero_block_size_histogram_is_a_torn_manifest() {
+        let dir = std::env::temp_dir().join(format!("dfl-ckpt-bs0-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (spec, cfg, golden) = checkpointed_genomes(&dir);
+        let newest = latest_manifest(&dir).unwrap();
+        let mut v: Value = serde_json::from_str(&std::fs::read_to_string(&newest).unwrap())
+            .expect("manifest parses as JSON");
+        let edited = edit_histograms(&mut v, &mut |h| set(h, "block_size", 0u64.to_value()));
+        assert!(edited > 0, "the newest manifest tracks task-file pairs");
+        std::fs::write(&newest, serde_json::to_string(&v).unwrap()).unwrap();
+
+        // Coarsening a zero block size would double zero forever; the
+        // decoder refuses it instead, so resume falls back a manifest.
+        match load_manifest(&newest) {
+            Err(CheckpointError::Parse(msg)) => assert!(msg.contains("powers of two"), "{msg}"),
+            other => panic!("expected Parse, got {:?}", other.map(|m| m.seq)),
+        }
+        let (resumed, torn) = crate::engine::resume_latest_with_warnings(&spec, &cfg).unwrap();
+        assert_eq!(torn.len(), 1);
+        assert_eq!(torn[0].path, newest);
+        assert_eq!(resumed.makespan_s.to_bits(), golden.makespan_s.to_bits());
+        assert_eq!(resumed.measurements.to_json().unwrap(), golden.measurements.to_json().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_layouts_are_refused_before_decoding() {
+        let dir = std::env::temp_dir().join(format!("dfl-ckpt-oldlayout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        checkpointed_genomes(&dir);
+        let newest = latest_manifest(&dir).unwrap();
+        let mut v: Value = serde_json::from_str(&std::fs::read_to_string(&newest).unwrap())
+            .expect("manifest parses as JSON");
+        // Rewrite every histogram in the previous layout, one
+        // `[key, {stats}]` pair per block, which this build cannot decode.
+        let names = [
+            "reads", "writes", "bytes_read", "bytes_written", "first_ns", "last_ns",
+            "last_was_write", "repeat_hits",
+        ];
+        edit_histograms(&mut v, &mut |h| {
+            let mut pairs = Vec::new();
+            for row in h.iter().find(|(k, _)| k == "blocks").unwrap().1.as_array().unwrap() {
+                let (start, len) = (row[0].as_u64().unwrap(), row[1].as_u64().unwrap());
+                let stats: Vec<(String, Value)> =
+                    names.iter().zip(2..).map(|(n, i)| (n.to_string(), row[i].clone())).collect();
+                for key in start..start + len {
+                    pairs.push(Value::Array(vec![key.to_value(), Value::Object(stats.clone())]));
+                }
+            }
+            set(h, "blocks", Value::Array(pairs));
+        });
+        let stamp = |v: &mut Value, manifest: u32, snapshot: u32| {
+            let Value::Object(fields) = v else { panic!("manifest is an object") };
+            set(fields, "version", manifest.to_value());
+            if let Some((_, Value::Object(sim))) = fields.iter_mut().find(|(k, _)| k == "sim") {
+                set(sim, "version", snapshot.to_value());
+            }
+        };
+        assert!(matches!(
+            CheckpointManifest::from_value(&v),
+            Err(e) if e.0.contains("10 cells")
+        ));
+
+        stamp(&mut v, MANIFEST_VERSION - 1, SNAPSHOT_VERSION - 1);
+        std::fs::write(&newest, serde_json::to_string(&v).unwrap()).unwrap();
+        match load_manifest(&newest) {
+            Err(CheckpointError::VersionMismatch { found, expected }) => {
+                assert_eq!((found, expected), (MANIFEST_VERSION - 1, MANIFEST_VERSION));
+            }
+            other => panic!("expected VersionMismatch, got {:?}", other.map(|m| m.seq)),
+        }
+
+        stamp(&mut v, MANIFEST_VERSION, SNAPSHOT_VERSION - 1);
+        std::fs::write(&newest, serde_json::to_string(&v).unwrap()).unwrap();
+        match load_manifest(&newest) {
+            Err(CheckpointError::Sim(SimError::Snapshot(msg))) => {
+                let (old, now) = (SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION);
+                assert_eq!(msg, format!("snapshot version {old} (this build expects {now})"));
+            }
+            other => panic!("expected a snapshot-version error, got {:?}", other.map(|m| m.seq)),
+        }
+        // Both are hard errors: tolerant loading does not skip past them.
+        assert!(matches!(load_latest_tolerant(&dir), Err(CheckpointError::Sim(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -427,6 +427,91 @@ fn stale_job_manifest_reruns_fresh_on_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sets `block_size` to 0 in every block histogram inside `v`; returns
+/// how many it changed.
+fn zero_histogram_block_sizes(v: &mut Value) -> usize {
+    match v {
+        Value::Object(fields) if fields.iter().any(|(k, _)| k == "granule") => {
+            for (k, x) in fields.iter_mut() {
+                if k == "block_size" {
+                    *x = Value::Number(serde::Number::U64(0));
+                }
+            }
+            1
+        }
+        Value::Object(fields) => {
+            fields.iter_mut().map(|(_, x)| zero_histogram_block_sizes(x)).sum()
+        }
+        Value::Array(items) => items.iter_mut().map(zero_histogram_block_sizes).sum(),
+        _ => 0,
+    }
+}
+
+#[test]
+fn zero_block_size_manifest_is_skipped_as_torn_on_recovery() {
+    let golden_dir = state_dir("bs0-golden");
+    let d = daemon(&golden_dir, |c| c.window_ms = 20);
+    let job = accept(&d, &submit("genomes", |_| {}));
+    assert_eq!(run_to_end(&d, job).0, "done");
+    let golden = result_bytes(&golden_dir, job);
+    d.shutdown();
+
+    // Park a genomes run mid-flight, then give every histogram in its
+    // newest manifest a zero block size: well-formed JSON that the
+    // histogram decoder must refuse.
+    let dir = state_dir("bs0");
+    let d = daemon(&dir, |c| c.window_ms = 20);
+    let job = accept(&d, &submit("genomes", |_| {}));
+    let mut drained = false;
+    d.handle_line(&stream_line(job), &mut |line| {
+        if !drained && line.contains("\"type\":\"window\"") {
+            drained = true;
+            d.drain();
+        }
+    });
+    assert!(drained);
+    d.shutdown();
+
+    let newest = std::fs::read_dir(dir.join(format!("job-{job}")))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("manifest-"))
+        .max()
+        .expect("parked job has manifests");
+    let mut manifest = v(&std::fs::read_to_string(&newest).unwrap());
+    assert!(zero_histogram_block_sizes(&mut manifest) > 0, "parked manifest tracks no pairs");
+    std::fs::write(&newest, serde_json::to_string(&manifest).unwrap()).unwrap();
+
+    // Resuming from that manifest would coarsen a zero block size forever,
+    // so the recovery is awaited with a bound; on a timeout the streaming
+    // thread is left behind and the test fails.
+    let d = Arc::new(daemon(&dir, |c| c.window_ms = 20));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let streamer = Arc::clone(&d);
+    let stream = std::thread::spawn(move || {
+        let end = run_to_end(&streamer, job);
+        let _ = tx.send(());
+        end
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+    {
+        panic!("recovery from a zero-block-size manifest did not finish within 120 s");
+    }
+    let (state, detail) = stream.join().expect("stream thread panicked");
+    assert_eq!(state, "done", "{detail}");
+    assert_eq!(
+        d.snapshot().counter("serve_torn_manifests"),
+        1,
+        "the undecodable manifest was skipped with a typed warning"
+    );
+    assert_eq!(result_bytes(&dir, job), golden, "recovery changed the result bytes");
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(&golden_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tenants_share_the_pool_fairly_under_backlog() {
     // Admission-only daemon: tenant "noisy" floods, "quiet" submits two.
